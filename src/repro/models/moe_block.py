@@ -209,9 +209,6 @@ class MoEBlock(Module):
         self.last_aux_loss: Optional[Tensor] = None
         self.record_routing = True
         self.record_probs = record_probs
-        # Optional repro.parallel.ExpertExecutor; when set (and bound for
-        # this layer) the fused dispatch fans expert segments out to it.
-        self.executor = None
 
     def make_record(self, gate_out: GateOutput) -> BlockRoutingRecord:
         """Build a routing record from one forward's gate output."""
@@ -310,18 +307,7 @@ class MoEBlock(Module):
         are then a contiguous segment, gathered in one :func:`index_select`
         per expert with all slots merged.  The weighted contributions are
         accumulated by :func:`_combine_segments` in a single pass.
-
-        With an attached :attr:`executor` (see :mod:`repro.parallel`) that
-        can serve this layer, the per-expert segments run through the
-        executor instead — same structure, workers do the GEMMs.  The
-        executor declines (int8 store under gradients, unbound layer) by
-        returning ``False`` from ``can_run``, which falls back here.
         """
-        executor = self.executor
-        if executor is not None and executor.can_run(self.layer_index):
-            from ..parallel.dispatch import executor_dispatch
-            return executor_dispatch(executor, self.layer_index,
-                                     self.experts, tokens, gate_out)
         return fused_dispatch(self.experts, tokens, gate_out)
 
     def _dispatch_combine_reference(self, tokens: Tensor,

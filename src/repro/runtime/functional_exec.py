@@ -91,16 +91,8 @@ class BrokeredMoEBlock(Module):
         # monolithic block — the paper's convergence-equivalence claim.
         expert_order = [expert_id for worker in sorted(worker_experts)
                         for expert_id in worker_experts[worker]]
-        executor = self.block.executor
-        if executor is not None and \
-                executor.can_run(self.block.layer_index):
-            from ..parallel.dispatch import executor_dispatch
-            total = executor_dispatch(executor, self.block.layer_index,
-                                      self.block.experts, tokens, gate_out,
-                                      expert_order=expert_order)
-        else:
-            total = fused_dispatch(self.block.experts, tokens, gate_out,
-                                   expert_order=expert_order)
+        total = fused_dispatch(self.block.experts, tokens, gate_out,
+                               expert_order=expert_order)
         return total.reshape(batch, seq, hidden)
 
 

@@ -58,11 +58,14 @@ class Request:
         if self.trace_id is None:
             object.__setattr__(self, "trace_id", mint_trace_id())
         if self.prompt_ids is not None:
-            ids = np.asarray(self.prompt_ids, dtype=np.int64)
+            ids = np.asarray(self.prompt_ids)
             if ids.ndim != 1 or ids.size < 1:
                 raise ValueError(f"prompt_ids must be a non-empty 1-D token "
                                  f"array, got shape {ids.shape}")
-            object.__setattr__(self, "prompt_ids", ids)
+            if not np.issubdtype(ids.dtype, np.integer):
+                raise ValueError(f"request {self.request_id}: prompt_ids "
+                                 f"must be integers, got dtype {ids.dtype}")
+            object.__setattr__(self, "prompt_ids", ids.astype(np.int64))
 
     @property
     def prompt_len(self) -> int:

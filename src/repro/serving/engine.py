@@ -25,9 +25,7 @@ from ..cluster.device import DeviceSpec, v100_32gb
 from ..models.config import MoEModelConfig
 from ..models.moe_block import DISPATCH_MODES
 from ..models.transformer import MoETransformer
-from ..nn.quant import quantize_expert_weights
 from ..nn.tensor import no_grad
-from ..parallel.shm import WEIGHT_FORMATS
 from ..routing.synthetic import SyntheticRouter
 from ..runtime.flops import FlopModel
 from ..telemetry import Telemetry
@@ -147,30 +145,25 @@ def serving_flags(model: MoETransformer):
 class LiveEngineBase:
     """Shared setup of the live-model serving engines.
 
-    Validates and applies the dispatch mode, optionally round-trips the
-    expert weights through the int8 format, and binds/attaches a
-    :mod:`repro.parallel` executor — identical knob semantics for
-    :class:`LiveDecodeEngine` and :class:`~repro.serving.scheduler.
-    ContinuousBatchingEngine`.
+    Validates and applies the dispatch mode and attaches the optional
+    sidecars (telemetry, monitor, events, prefetch, tracing, flight) —
+    identical knob semantics for :class:`LiveDecodeEngine` and
+    :class:`~repro.serving.scheduler.ContinuousBatchingEngine`.  To serve
+    int8 expert weights, quantize the model first with
+    :func:`repro.nn.quant.quantize_expert_weights`.
     """
 
     def __init__(self, model: MoETransformer, dispatch: str = "fused",
                  telemetry: Optional[Telemetry] = None,
                  monitor: Optional[RoutingHealthMonitor] = None,
-                 executor=None, weight_format: str = "native",
                  events=None, prefetch=None, tracing=None, flight=None):
         if dispatch not in DISPATCH_MODES:
             raise ValueError(f"dispatch must be one of {DISPATCH_MODES}, "
                              f"got {dispatch!r}")
-        if weight_format not in WEIGHT_FORMATS:
-            raise ValueError(f"weight_format must be one of "
-                             f"{WEIGHT_FORMATS}, got {weight_format!r}")
         self.model = model
         self.model.set_dispatch_mode(dispatch)
         self.telemetry = telemetry
         self.monitor = monitor
-        self.executor = executor
-        self.weight_format = weight_format
         self.events = events
         # Request-scoped tracing + flight recording: accounting-only
         # sidecars, like the prefetcher below — they never touch the model,
@@ -190,7 +183,6 @@ class LiveEngineBase:
                                 f"got {type(flight).__name__}")
             if monitor is not None:
                 flight.watch(monitor)
-        self.quantization_report = None
         # Online re-placement: swap_placement() stages a new placement;
         # the serve loops apply it at their next iteration boundary.
         self._swap_lock = threading.Lock()
@@ -210,16 +202,22 @@ class LiveEngineBase:
                 model.config, prefetch, telemetry=telemetry,
                 event_log=events, placement=self.active_placement)
             self.prefetcher.bind(self)
-        if weight_format == "int8":
-            # Round-trip the expert weights through the int8 format so every
-            # in-process path (single-token fast path, prefill) computes with
-            # exactly the values an int8 deployment reconstructs — outputs
-            # then match the executor's int8 shared-memory store bit for bit.
-            self.quantization_report = quantize_expert_weights(model)
-        if executor is not None:
-            if not executor.bound:
-                executor.bind(model, weight_format=weight_format)
-            model.set_expert_executor(executor)
+
+    def _check_prompt_ids(self, ids: np.ndarray, what: str) -> None:
+        """Raise ``ValueError`` unless ``ids`` are in-vocabulary integers.
+
+        A float id would be truncated and a negative one would wrap to
+        another embedding row, so both are rejected up front, as are ids
+        past the vocabulary.  ``what`` names the offender in the message.
+        """
+        vocab = self.model.config.vocab_size
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise ValueError(f"{what}: prompt ids must be integers, "
+                             f"got dtype {ids.dtype}")
+        bad = ids[(ids < 0) | (ids >= vocab)]
+        if bad.size:
+            raise ValueError(f"{what}: prompt id {int(bad[0])} is outside "
+                             f"the vocabulary [0, {vocab})")
 
     def swap_placement(self, placement) -> None:
         """Stage a placement hot-swap (online re-placement hook).
@@ -301,14 +299,12 @@ class LiveDecodeEngine(LiveEngineBase):
                  mode: str = "cached",
                  telemetry: Optional[Telemetry] = None,
                  monitor: Optional[RoutingHealthMonitor] = None,
-                 executor=None, weight_format: str = "native",
                  events=None, prefetch=None, tracing=None, flight=None):
         if mode not in DECODE_MODES:
             raise ValueError(f"mode must be one of {DECODE_MODES}, "
                              f"got {mode!r}")
         super().__init__(model, dispatch=dispatch, telemetry=telemetry,
-                         monitor=monitor, executor=executor,
-                         weight_format=weight_format, events=events,
+                         monitor=monitor, events=events,
                          prefetch=prefetch, tracing=tracing, flight=flight)
         self.mode = mode
 
@@ -329,6 +325,7 @@ class LiveDecodeEngine(LiveEngineBase):
         if prompt_ids.ndim != 2:
             raise ValueError(f"expected (batch, prompt_len) prompt ids, "
                              f"got {prompt_ids.shape}")
+        self._check_prompt_ids(prompt_ids, "prompt_ids")
         if num_tokens < 1:
             raise ValueError("num_tokens must be positive")
         max_len = self.model.config.max_seq_len

@@ -225,16 +225,15 @@ class ContinuousBatchingEngine(LiveEngineBase):
 
     Knobs shared with :class:`~repro.serving.engine.LiveDecodeEngine`
     through :class:`~repro.serving.engine.LiveEngineBase`: ``dispatch``
-    (fused | reference MoE dispatch), ``weight_format`` (native | int8),
-    ``executor`` (a :mod:`repro.parallel` process-pool executor),
-    ``telemetry``/``monitor``.  Additional here: ``max_slots`` (KV pool
-    size = max concurrent requests), ``admission``, ``eos_token_id``,
-    ``max_len`` (per-slot cache length, default the model's
-    ``max_seq_len``), ``events`` (a :class:`~repro.telemetry.events.
-    EventLog` receiving ``request_admit`` / ``request_evict`` events),
-    and ``prefetch`` (a :class:`~repro.serving.prefetch.PrefetchConfig`
-    attaching the predictive prefetch + hot-expert replication sidecar —
-    accounting only, generated ids are unchanged).
+    (fused | reference MoE dispatch), ``telemetry``/``monitor``.
+    Additional here: ``max_slots`` (KV pool size = max concurrent
+    requests), ``admission``, ``eos_token_id``, ``max_len`` (per-slot
+    cache length, default the model's ``max_seq_len``), ``events`` (a
+    :class:`~repro.telemetry.events.EventLog` receiving
+    ``request_admit`` / ``request_evict`` events), and ``prefetch`` (a
+    :class:`~repro.serving.prefetch.PrefetchConfig` attaching the
+    predictive prefetch + hot-expert replication sidecar — accounting
+    only, generated ids are unchanged).
 
     With ``telemetry=``, the run feeds ``serve.queueing_s``,
     ``serve.ttft_s``, ``serve.token_latency_s`` and
@@ -259,7 +258,6 @@ class ContinuousBatchingEngine(LiveEngineBase):
                  telemetry: Optional[Telemetry] = None,
                  monitor: Optional[RoutingHealthMonitor] = None,
                  events: Optional[EventLog] = None,
-                 executor=None, weight_format: str = "native",
                  eos_token_id: Optional[int] = None,
                  admission: str = "fcfs",
                  max_len: Optional[int] = None,
@@ -268,8 +266,7 @@ class ContinuousBatchingEngine(LiveEngineBase):
             raise ValueError(f"admission must be one of "
                              f"{ADMISSION_POLICIES}, got {admission!r}")
         super().__init__(model, dispatch=dispatch, telemetry=telemetry,
-                         monitor=monitor, executor=executor,
-                         weight_format=weight_format, events=events,
+                         monitor=monitor, events=events,
                          prefetch=prefetch, tracing=tracing, flight=flight)
         self.max_slots = int(max_slots)
         self.eos_token_id = eos_token_id
@@ -303,18 +300,30 @@ class ContinuousBatchingEngine(LiveEngineBase):
     def serve(self, requests: Sequence[Request]) -> ContinuousServingMetrics:
         """Serve ``requests`` to completion; returns fleet metrics.
 
-        Every request must carry ``prompt_ids`` and fit the slot length:
-        ``prompt_len + decode_tokens <= max_len``.  Requests are consumed
-        in arrival-time order from an open-loop stream — arrivals are
-        never delayed by the engine, only admissions are.
+        Every request must carry in-vocabulary ``prompt_ids``, a unique
+        ``request_id``, a non-negative ``arrival_time``, and fit the slot
+        length: ``prompt_len + decode_tokens <= max_len``.  Requests are
+        consumed in arrival-time order from an open-loop stream — arrivals
+        are never delayed by the engine, only admissions are.  Slots still
+        held when a run fails are released, so the engine stays usable.
         """
         if not requests:
             raise ValueError("need at least one request")
+        seen = set()
         for request in requests:
             if request.prompt_ids is None:
                 raise ValueError(f"request {request.request_id} has no "
                                  f"prompt_ids; the live engine decodes "
                                  f"real tokens")
+            if request.request_id in seen:
+                raise ValueError(f"request {request.request_id}: duplicate "
+                                 f"request_id")
+            seen.add(request.request_id)
+            if request.arrival_time < 0:
+                raise ValueError(f"request {request.request_id}: negative "
+                                 f"arrival_time {request.arrival_time}")
+            self._check_prompt_ids(request.prompt_ids,
+                                   f"request {request.request_id}")
             total = request.prompt_len + request.decode_tokens
             if total > self.max_len:
                 raise ValueError(
@@ -404,140 +413,102 @@ class ContinuousBatchingEngine(LiveEngineBase):
                        tokens=len(state.token_ids),
                        queue_depth=len(queue))
 
-        with serving_flags(self.model), no_grad():
-            while pending or queue or active:
-                # -- apply a staged placement hot-swap ------------------- #
-                # Iteration boundary: every slot finished its previous
-                # decode step under the old placement; nothing is evicted
-                # or re-prefilled, the next batched step simply scores
-                # (and, in a real deployment, routes) against the new
-                # assignment.
-                swapped = self.apply_pending_placement()
-                if swapped is not None:
-                    self._emit("placement_swap", now,
-                               placement=getattr(swapped, "name", ""),
-                               active_slots=len(active),
-                               queue_depth=len(queue))
+        try:
+            with serving_flags(self.model), no_grad():
+                while pending or queue or active:
+                    # -- apply a staged placement hot-swap --------------- #
+                    # Iteration boundary: every slot finished its previous
+                    # decode step under the old placement; nothing is evicted
+                    # or re-prefilled, the next batched step simply scores
+                    # (and, in a real deployment, routes) against the new
+                    # assignment.
+                    swapped = self.apply_pending_placement()
+                    if swapped is not None:
+                        self._emit("placement_swap", now,
+                                   placement=getattr(swapped, "name", ""),
+                                   active_slots=len(active),
+                                   queue_depth=len(queue))
 
-                # -- arrivals up to the current virtual time ------------- #
-                while pending and pending[0].arrival_time <= now:
-                    queue.append(pending.pop(0))
-                if not queue and not active:
-                    now = pending[0].arrival_time  # idle: fast-forward
-                    continue
+                    # -- arrivals up to the current virtual time --------- #
+                    while pending and pending[0].arrival_time <= now:
+                        queue.append(pending.pop(0))
+                    if not queue and not active:
+                        now = pending[0].arrival_time  # idle: fast-forward
+                        continue
 
-                # -- admit into free slots ------------------------------- #
-                admitted: List[_RequestState] = []
-                while queue and self.pool.free_count > 0:
-                    request = self._pop_next(queue)
-                    slot = self.pool.acquire()
-                    state = _RequestState(request=request, slot=slot,
-                                          start_time=now)
-                    active[slot] = state
-                    admitted.append(state)
-                    if telemetry is not None:
-                        telemetry.histogram("serve.queueing_s").observe(
-                            now - request.arrival_time)
-                    if tracing is not None:
-                        tracing.admit(request, now=now,
-                                      queue_depth=len(queue))
-                    self._emit("request_admit", now,
-                               request_id=request.request_id, slot=slot,
-                               queue_depth=len(queue))
-                set_gauges()
-
-                # -- batched prefill, grouped by prompt length ----------- #
-                # Equal lengths per forward_slots call: no padding, so no
-                # garbage tokens pollute the routing records feeding the
-                # locality profiler and the health monitor.
-                by_len: Dict[int, List[_RequestState]] = {}
-                for state in admitted:
-                    by_len.setdefault(state.request.prompt_len,
-                                      []).append(state)
-                for length in sorted(by_len):
-                    group = by_len[length]
-                    prompts = np.stack([s.request.prompt_ids
-                                        for s in group])
-                    slots = np.asarray([s.slot for s in group],
-                                       dtype=np.int64)
-                    if tracing is not None:
-                        # This forward serves `length` prompt tokens per
-                        # group member; anything it fetches/dispatches is
-                        # split across the group by that (equal) share.
-                        tracing.set_step([(s.request.trace_id, length)
-                                          for s in group])
-                    t0 = time.perf_counter()
-                    logits = self.model.forward_slots(prompts, self.caches,
-                                                      slots)
-                    elapsed = time.perf_counter() - t0
-                    now += elapsed
-                    first = np.argmax(logits.data[:, -1, :], axis=-1)
-                    for state, token in zip(group, first):
-                        state.token_ids.append(int(token))
-                        state.token_latencies.append(elapsed)
-                        state.first_token_time = now
+                    # -- admit into free slots --------------------------- #
+                    admitted: List[_RequestState] = []
+                    while queue and self.pool.free_count > 0:
+                        request = self._pop_next(queue)
+                        slot = self.pool.acquire()
+                        state = _RequestState(request=request, slot=slot,
+                                              start_time=now)
+                        active[slot] = state
+                        admitted.append(state)
                         if telemetry is not None:
-                            telemetry.histogram("serve.ttft_s").observe(
-                                now - state.request.arrival_time)
-                            telemetry.histogram(
-                                "serve.token_latency_s").observe(elapsed)
-                    if tracing is not None:
-                        tracing.prefill(
-                            [s.request.trace_id for s in group],
-                            now - elapsed, elapsed)
-                        # Requests that already hold a token (mid-decode,
-                        # or prefilled in an earlier group this iteration)
-                        # sat through this prefill without advancing —
-                        # that wait is their stall, not their decode time.
-                        group_ids = {id(s) for s in group}
-                        tracing.stall(
-                            [s.request.trace_id for s in active.values()
-                             if id(s) not in group_ids and s.token_ids],
-                            elapsed)
-                    observe_routing("prefill")
+                            telemetry.histogram("serve.queueing_s").observe(
+                                now - request.arrival_time)
+                        if tracing is not None:
+                            tracing.admit(request, now=now,
+                                          queue_depth=len(queue))
+                        self._emit("request_admit", now,
+                                   request_id=request.request_id, slot=slot,
+                                   queue_depth=len(queue))
+                    set_gauges()
 
-                # prefill may already satisfy a request (EOS on the first
-                # token, or a 1-token budget)
-                for state in admitted:
-                    if self.eos_token_id is not None and \
-                            state.last_token == self.eos_token_id:
-                        del active[state.slot]
-                        finish(state, "eos")
-                    elif state.remaining == 0:
-                        del active[state.slot]
-                        finish(state, "max_tokens")
+                    # -- batched prefill, grouped by prompt length ------- #
+                    # Equal lengths per forward_slots call: no padding, so no
+                    # garbage tokens pollute the routing records feeding the
+                    # locality profiler and the health monitor.
+                    by_len: Dict[int, List[_RequestState]] = {}
+                    for state in admitted:
+                        by_len.setdefault(state.request.prompt_len,
+                                          []).append(state)
+                    for length in sorted(by_len):
+                        group = by_len[length]
+                        prompts = np.stack([s.request.prompt_ids
+                                            for s in group])
+                        slots = np.asarray([s.slot for s in group],
+                                           dtype=np.int64)
+                        if tracing is not None:
+                            # This forward serves `length` prompt tokens per
+                            # group member; anything it fetches/dispatches is
+                            # split across the group by that (equal) share.
+                            tracing.set_step([(s.request.trace_id, length)
+                                              for s in group])
+                        t0 = time.perf_counter()
+                        logits = self.model.forward_slots(prompts, self.caches,
+                                                          slots)
+                        elapsed = time.perf_counter() - t0
+                        now += elapsed
+                        first = np.argmax(logits.data[:, -1, :], axis=-1)
+                        for state, token in zip(group, first):
+                            state.token_ids.append(int(token))
+                            state.token_latencies.append(elapsed)
+                            state.first_token_time = now
+                            if telemetry is not None:
+                                telemetry.histogram("serve.ttft_s").observe(
+                                    now - state.request.arrival_time)
+                                telemetry.histogram(
+                                    "serve.token_latency_s").observe(elapsed)
+                        if tracing is not None:
+                            tracing.prefill(
+                                [s.request.trace_id for s in group],
+                                now - elapsed, elapsed)
+                            # Requests that already hold a token (mid-decode,
+                            # or prefilled in an earlier group this iteration)
+                            # sat through this prefill without advancing —
+                            # that wait is their stall, not their decode time.
+                            group_ids = {id(s) for s in group}
+                            tracing.stall(
+                                [s.request.trace_id for s in active.values()
+                                 if id(s) not in group_ids and s.token_ids],
+                                elapsed)
+                        observe_routing("prefill")
 
-                # -- one batched ragged decode step ---------------------- #
-                deciding = [active[slot] for slot in sorted(active)]
-                if deciding:
-                    tokens = np.asarray([[s.last_token] for s in deciding],
-                                        dtype=np.int64)
-                    slots = np.asarray([s.slot for s in deciding],
-                                       dtype=np.int64)
-                    if tracing is not None:
-                        # One token per co-resident slot: the ragged
-                        # step's shared costs split by equal token share.
-                        tracing.set_step([(s.request.trace_id, 1)
-                                          for s in deciding])
-                    t0 = time.perf_counter()
-                    logits = self.model.forward_slots(tokens, self.caches,
-                                                      slots)
-                    elapsed = time.perf_counter() - t0
-                    now += elapsed
-                    steps += 1
-                    next_tokens = np.argmax(logits.data[:, -1, :], axis=-1)
-                    for state, token in zip(deciding, next_tokens):
-                        state.token_ids.append(int(token))
-                        state.token_latencies.append(elapsed)
-                        if telemetry is not None:
-                            telemetry.histogram(
-                                "serve.token_latency_s").observe(elapsed)
-                    if tracing is not None:
-                        tracing.decode_step(
-                            [s.request.trace_id for s in deciding],
-                            now - elapsed, elapsed)
-                    observe_routing("decode")
-                    for state in deciding:
+                    # prefill may already satisfy a request (EOS on the first
+                    # token, or a 1-token budget)
+                    for state in admitted:
                         if self.eos_token_id is not None and \
                                 state.last_token == self.eos_token_id:
                             del active[state.slot]
@@ -545,7 +516,51 @@ class ContinuousBatchingEngine(LiveEngineBase):
                         elif state.remaining == 0:
                             del active[state.slot]
                             finish(state, "max_tokens")
-                set_gauges()
+
+                    # -- one batched ragged decode step ------------------ #
+                    deciding = [active[slot] for slot in sorted(active)]
+                    if deciding:
+                        tokens = np.asarray([[s.last_token] for s in deciding],
+                                            dtype=np.int64)
+                        slots = np.asarray([s.slot for s in deciding],
+                                           dtype=np.int64)
+                        if tracing is not None:
+                            # One token per co-resident slot: the ragged
+                            # step's shared costs split by equal token share.
+                            tracing.set_step([(s.request.trace_id, 1)
+                                              for s in deciding])
+                        t0 = time.perf_counter()
+                        logits = self.model.forward_slots(tokens, self.caches,
+                                                          slots)
+                        elapsed = time.perf_counter() - t0
+                        now += elapsed
+                        steps += 1
+                        next_tokens = np.argmax(logits.data[:, -1, :], axis=-1)
+                        for state, token in zip(deciding, next_tokens):
+                            state.token_ids.append(int(token))
+                            state.token_latencies.append(elapsed)
+                            if telemetry is not None:
+                                telemetry.histogram(
+                                    "serve.token_latency_s").observe(elapsed)
+                        if tracing is not None:
+                            tracing.decode_step(
+                                [s.request.trace_id for s in deciding],
+                                now - elapsed, elapsed)
+                        observe_routing("decode")
+                        for state in deciding:
+                            if self.eos_token_id is not None and \
+                                    state.last_token == self.eos_token_id:
+                                del active[state.slot]
+                                finish(state, "eos")
+                            elif state.remaining == 0:
+                                del active[state.slot]
+                                finish(state, "max_tokens")
+                    set_gauges()
+        finally:
+            # A failed run must not leak its slots: the next serve() would
+            # otherwise wait forever on a pool with no free slot.
+            for slot in active:
+                self.pool.release(slot)
 
         outcomes.sort(key=lambda o: o.request_id)
         return ContinuousServingMetrics(outcomes=outcomes, wall_time=now,

@@ -162,3 +162,20 @@ class TestQuantizeExpertWeights:
         assert second.max_abs_error < 1e-12
         for name, p in model.named_parameters():
             np.testing.assert_allclose(p.data, snapshot[name], atol=1e-12)
+
+    def test_int8_model_serves_identically_on_both_engines(self):
+        """Quantize-then-serve is the int8 serving path: the solo decode
+        engine and the continuous-batching engine run the quantized model
+        and agree bit for bit."""
+        from repro.models import build_model, nano_moe
+        from repro.serving import (ContinuousBatchingEngine, LiveDecodeEngine,
+                                   Request)
+        model = build_model(nano_moe(seed=0))
+        report = quantize_expert_weights(model)
+        assert report.num_matrices > 0 and report.compression_ratio < 0.2
+        prompt = np.array([3, 7, 11, 2])
+        solo = LiveDecodeEngine(model).decode(prompt[None, :], 6)[0]
+        batched = ContinuousBatchingEngine(model, max_slots=2).serve(
+            [Request(0, 0.0, 6, prompt_ids=prompt)])
+        assert solo.shape == (6,)
+        np.testing.assert_array_equal(batched.outcomes[0].token_ids, solo)

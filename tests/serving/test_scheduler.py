@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.models import build_model, nano_moe, tiny_mistral
-from repro.parallel import make_executor
 from repro.serving import (ADMISSION_POLICIES, ContinuousBatchingEngine,
                            LiveDecodeEngine, Request, SlotPool,
                            poisson_workload)
@@ -64,28 +63,18 @@ class TestSingleRequestEquivalence:
         return tiny_mistral(seed=0, max_seq_len=64)
 
     @pytest.mark.parametrize("dispatch", ["fused", "reference"])
-    @pytest.mark.parametrize("use_executor", [False, True])
-    def test_grid_bit_identical_to_live_engine(self, tiny_config, dispatch,
-                                               use_executor):
-        """dispatch {fused, reference} x executor {off, on}: a single
-        request decoded through the continuous-batching engine yields
-        greedy ids bit-identical to LiveDecodeEngine(mode="cached")."""
+    def test_grid_bit_identical_to_live_engine(self, tiny_config, dispatch):
+        """dispatch {fused, reference}: a single request decoded through the
+        continuous-batching engine yields greedy ids bit-identical to
+        LiveDecodeEngine(mode="cached")."""
         prompt = np.random.default_rng(3).integers(
             0, tiny_config.vocab_size, size=12)
         baseline = LiveDecodeEngine(build_model(tiny_config),
                                     dispatch=dispatch).decode(
             prompt[None, :], 10)[0]
-        executor = None
-        try:
-            if use_executor:
-                executor = make_executor(num_workers=2)
-            engine = ContinuousBatchingEngine(build_model(tiny_config),
-                                              max_slots=4, dispatch=dispatch,
-                                              executor=executor)
-            metrics = engine.serve([make_request(0, prompt, 10)])
-        finally:
-            if executor is not None:
-                executor.close()
+        engine = ContinuousBatchingEngine(build_model(tiny_config),
+                                          max_slots=4, dispatch=dispatch)
+        metrics = engine.serve([make_request(0, prompt, 10)])
         np.testing.assert_array_equal(metrics.outcomes[0].token_ids,
                                       baseline)
 
@@ -266,6 +255,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             engine.serve([make_request(0, too_long, 4)])
 
+    @pytest.mark.parametrize("case", ["out_of_vocab", "negative_id",
+                                      "float_ids", "duplicate_id",
+                                      "negative_arrival"])
+    def test_rejects_bad_requests_before_admission(self, nano_model,
+                                                   nano_config, case):
+        """Each bad request raises a ValueError naming it before any slot
+        is taken; bad prompt ids are rejected by the solo engine too."""
+        vocab = nano_config.vocab_size
+        bad_prompts = {"out_of_vocab": [1, 2, vocab],
+                       "negative_id": [1, 2, 3, -1],
+                       "float_ids": [1.0, 2.5, 3.0]}
+
+        def requests():
+            if case in bad_prompts:
+                return [make_request(0, [1, 2, 3], 2),
+                        Request(7, 0.0, 2,
+                                prompt_ids=np.asarray(bad_prompts[case]))]
+            if case == "duplicate_id":
+                return [make_request(7, [1, 2, 3], 2),
+                        make_request(7, [4, 5], 2)]
+            return [make_request(0, [1, 2, 3], 2),
+                    make_request(7, [4, 5], 2, arrival=-1.0)]
+
+        engine = ContinuousBatchingEngine(nano_model, max_slots=2)
+        with pytest.raises(ValueError, match="request 7"):
+            engine.serve(requests())
+        assert engine.pool.free_count == 2
+        if case in bad_prompts:
+            with pytest.raises(ValueError, match="prompt"):
+                LiveDecodeEngine(nano_model).decode(
+                    np.asarray([bad_prompts[case]]), 2)
+
     def test_poisson_workload_feeds_engine(self, nano_model, nano_config):
         requests = poisson_workload(4, arrival_rate=50.0,
                                     mean_decode_tokens=3, seed=2,
@@ -274,3 +295,32 @@ class TestValidation:
         metrics = ContinuousBatchingEngine(nano_model,
                                            max_slots=2).serve(requests)
         assert len(metrics.outcomes) == 4
+
+
+class TestFailedServe:
+    def test_failed_serve_releases_slots(self, nano_config, prompts,
+                                         monkeypatch):
+        """A forward that raises mid-run must not leak the slots it held:
+        the pool is whole afterwards and the next serve() decodes exactly
+        like a solo LiveDecodeEngine run."""
+        model = build_model(nano_config)
+        engine = ContinuousBatchingEngine(model, max_slots=2)
+        real_forward = model.forward_slots
+        calls = []
+
+        def failing_forward(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:  # after the prefill and one decode step
+                raise RuntimeError("injected forward failure")
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_slots", failing_forward)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.serve([make_request(0, prompts[0], 6),
+                          make_request(1, prompts[2], 6)])
+        assert engine.pool.free_count == 2
+        monkeypatch.undo()
+        metrics = engine.serve([make_request(0, prompts[0], 6)])
+        solo = LiveDecodeEngine(build_model(nano_config)).decode(
+            prompts[0][None, :], 6)[0]
+        np.testing.assert_array_equal(metrics.outcomes[0].token_ids, solo)

@@ -41,18 +41,6 @@ def serving_payload(speedup=10.0, ids_identical=True, records_flowing=True):
     }
 
 
-def parallel_payload(speedup_ok=True, equiv_native=0.0, equiv_int8=0.0):
-    return {
-        "headline": {
-            "speedup_ok": speedup_ok,
-            "equiv_native_max": equiv_native,
-            "native_tolerance": 1e-12,
-            "equiv_int8_max": equiv_int8,
-            "int8_tolerance": 1e-6,
-        },
-    }
-
-
 def serving_batch_payload(ratio=4.0, single=True, per_request=True):
     return {
         "headline": {
@@ -129,26 +117,6 @@ class TestCompare:
                                serving_payload())
         failed = [f for f in findings if not f.ok]
         assert [f.path for f in failed] == ["headline.ids_identical"]
-
-    def test_parallel_equivalence_is_a_hard_gate(self):
-        findings = cbr.compare("parallel", parallel_payload(),
-                               parallel_payload())
-        assert all(f.ok for f in findings)
-        findings = cbr.compare("parallel",
-                               parallel_payload(equiv_native=1e-9),
-                               parallel_payload())
-        failed = [f.path for f in findings if not f.ok]
-        assert failed == ["headline.equiv_native_max"]
-        findings = cbr.compare("parallel", parallel_payload(equiv_int8=1e-3),
-                               parallel_payload())
-        failed = [f.path for f in findings if not f.ok]
-        assert failed == ["headline.equiv_int8_max"]
-
-    def test_parallel_speedup_gate_regression_fails(self):
-        findings = cbr.compare("parallel", parallel_payload(speedup_ok=False),
-                               parallel_payload())
-        failed = [f.path for f in findings if not f.ok]
-        assert failed == ["headline.speedup_ok"]
 
     def test_serving_batch_identity_is_a_hard_gate(self):
         findings = cbr.compare("serving_batch", serving_batch_payload(),
@@ -255,7 +223,6 @@ class TestMain:
         repo = _TOOLS.parent
         for kind, name in (("replay", "BENCH_replay.json"),
                            ("serving", "BENCH_serving.json"),
-                           ("parallel", "BENCH_parallel.json"),
                            ("serving_batch", "BENCH_serving_batch.json"),
                            ("replacement", "BENCH_replacement.json")):
             baseline = str(repo / name)
